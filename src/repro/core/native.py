@@ -42,6 +42,7 @@ reference for the concurrent implementation.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -63,16 +64,74 @@ __all__ = ["NativeBGPQ"]
 _I64 = np.dtype(np.int64)
 
 
-@lru_cache(maxsize=4096)
-def _exact_ns(ns: float) -> Fraction:
-    """Exact rational value of one device charge.
+#: Sim time is an ``int`` count of 2**-_TICK_BITS ns ticks.
+_TICK_BITS = 64
+_TICKS_PER_NS = 1 << _TICK_BITS
+#: shapes one tick table holds before it starts over
+_TABLE_CAP = 4096
 
-    Charges repeat heavily (the cost model memoizes per (n, m) shape),
-    so the float→Fraction conversion is memoized too; accumulating
-    Fractions keeps long runs free of float-summation drift, matching
-    the analysis layer's exact-attribution discipline.
+# charge tags: the first four are the fused kernels' charge-log tags
+_SPLIT, _READ, _FOLD, _MOVE, _ENTRY, _LOCK = range(6)
+
+
+def _to_ticks(ns: float) -> int:
+    """Exact tick count of one ``ns``-nanosecond charge.
+
+    A finite double is an integer times a power of two, so it is a
+    whole number of ticks exactly when that power is at least
+    2**-_TICK_BITS: zero and every double from 2**-12 ns up are.  A
+    finer charge raises :class:`ConfigurationError`; it is never rounded.
     """
-    return Fraction(ns)
+    num, den = ns.as_integer_ratio()
+    shift = _TICK_BITS + 1 - den.bit_length()
+    if shift < 0:
+        raise ConfigurationError(
+            f"device charge {ns!r} ns is finer than one 2**-{_TICK_BITS} ns tick"
+        )
+    return num << shift
+
+
+class _ChargeTicks(dict):
+    """Exact ticks of every charge shape one cost model has priced.
+
+    Keys are ``(tag, a, b)`` triples: a fused kernel's charge-log entry
+    (``_SPLIT`` node SORT_SPLIT of ``a`` and ``b`` keys, ``_READ``
+    root extraction of ``a``, ``_FOLD`` partial-buffer fold, ``_MOVE``
+    last-node move), ``_ENTRY`` for an ``a``-key insert batch, or
+    ``_LOCK`` for deletemin's lock.  Each is one float of the cost
+    model, so replaying a log costs one lookup and one int add per
+    entry.  A heap charges a few hot shapes and a long tail of one-off
+    ones, so the table starts over at ``_TABLE_CAP`` shapes: memory
+    stays bounded and the hit rate barely moves.
+    """
+
+    def __init__(self, model: GpuCostModel):
+        super().__init__()
+        self._price = (
+            model.node_sort_split_ns,
+            lambda n, _: model.global_read_ns(n),
+            model.sort_split_ns,
+            lambda n, _: model.node_move_ns(n),
+            lambda n, _: model.batch_entry_ns(n),
+            lambda _n, _m: model.lock_roundtrip_ns(),
+        )
+
+    def ticks(self, key: tuple[int, int, int]) -> int:
+        """Price ``key`` through the cost model, bypassing the table."""
+        tag, a, b = key
+        return _to_ticks(self._price[tag](a, b))
+
+    def __missing__(self, key: tuple[int, int, int]) -> int:
+        if len(self) >= _TABLE_CAP:
+            self.clear()
+        t = self[key] = self.ticks(key)
+        return t
+
+
+@lru_cache(maxsize=16)
+def _tick_table(model: GpuCostModel) -> _ChargeTicks:
+    """The tick table of ``model``; queues over equal models share it."""
+    return _ChargeTicks(model)
 
 
 class _Slot:
@@ -133,7 +192,11 @@ class NativeBGPQ:
         self.ctx = ctx
         self.model: GpuCostModel | None = ctx.model if ctx is not None else None
         self._heap_size = 0
-        self._sim_ns = Fraction(0)
+        # exact sim time: _base_ns + _ticks * 2**-_TICK_BITS ns, where
+        # _base_ns is only ever the sub-tick part of a restored clock
+        self._tt = _tick_table(self.model) if self.model is not None else None
+        self._ticks = 0
+        self._base_ns = Fraction(0)
         self.stats = {"insert_heapify": 0, "deletemin_heapify": 0, "ops": 0}
         # kernel backend: None -> process-wide active selection; a name
         # ("numpy"/"cext"/"numba"/"auto") -> explicit; or a KernelSet.
@@ -221,43 +284,26 @@ class NativeBGPQ:
             )
         return payload
 
-    def _charge(self, ns: float) -> None:
-        if self.model is not None:
-            self._sim_ns += _exact_ns(ns)
-
-    def _charge_split(self, na: int, nb: int) -> None:
-        """One node-level SORT_SPLIT charge (both backends, either path)."""
-        if self.model is not None:
-            self._sim_ns += _exact_ns(self.model.node_sort_split_ns(na, nb))
+    def _charge(self, tag: int, a: int = 0, b: int = 0) -> None:
+        """One device charge, priced by shape (see :class:`_ChargeTicks`)."""
+        if self._tt is not None:
+            self._ticks += self._tt[tag, a, b]
 
     def _replay_log(self, log: np.ndarray, nlog: int) -> None:
-        """Replay a fused kernel's charge log, exactly as the NumPy path
-        would have charged in place: (tag, p1, p2) triples where tag 0
-        is a node SORT_SPLIT, 1 a root-extraction read, 2 a partial-
-        buffer fold (host sort_split rate), 3 the last-node move."""
-        m = self.model
-        for t in range(nlog):
-            tag = log[3 * t]
-            if tag == 0:
-                self._charge_split(int(log[3 * t + 1]), int(log[3 * t + 2]))
-            elif tag == 1:
-                self._charge(m.global_read_ns(int(log[3 * t + 1])))
-            elif tag == 2:
-                self._charge(
-                    m.sort_split_ns(int(log[3 * t + 1]), int(log[3 * t + 2]))
-                )
-            else:
-                self._charge(m.global_read_ns(self.k) + m.global_write_ns(self.k))
+        """Charge a fused kernel's log of (tag, a, b) triples, exactly
+        as the NumPy path charges the same steps in place."""
+        it = iter(log[: 3 * nlog].tolist())
+        self._ticks += sum(map(self._tt.__getitem__, zip(it, it, it)))
 
-    def _charge_batch_entry(self, n: int) -> None:
-        """Per-batch entry cost: coalesced read, in-block sort, root lock."""
-        if self.model is not None:
-            self._charge(
-                self.model.global_read_ns(n)
-                + self.model.bitonic_sort_ns(n)
-                + self.model.lock_acquire_ns()
-                + self.model.lock_release_ns()
-            )
+    def _elapsed(self, mark: int = 0) -> tuple[float, int]:
+        """Device ns charged since tick count ``mark``, and the count now.
+
+        Per-op cost metering for callers that charge every op: the same
+        float as subtracting two :attr:`sim_time_ns_exact` reads (int
+        division is correctly rounded) with no Fraction arithmetic.
+        """
+        now = self._ticks
+        return (now - mark) / _TICKS_PER_NS, now
 
     def _normalize(self, keys, payload) -> tuple[np.ndarray, np.ndarray]:
         keys = np.asarray(keys, dtype=self.key_dtype)
@@ -463,17 +509,8 @@ class NativeBGPQ:
             return
         skeys, spay = self._sort_records(keys, pay)
         k = self.k
-        chunks = -(-n // k)
         if self.model is not None:
-            m = self.model
-            self._charge(
-                m.global_read_ns(n)
-                + m.global_write_ns(n)
-                + chunks * m.bitonic_sort_ns(min(n, k))
-                + chunks * max(0, chunks.bit_length() - 1) * m.sort_split_ns(k, k)
-                + m.lock_acquire_ns()
-                + m.lock_release_ns()
-            )
+            self._ticks += _to_ticks(self.model.bulk_build_ns(n, k))
         self.stats["ops"] += 1
         full = n // k
         rest = n - full * k
@@ -518,8 +555,7 @@ class NativeBGPQ:
         """
         if not 1 <= count <= self.k:
             raise ValueError(f"deletemin count must be in [1, {self.k}], got {count}")
-        if self.model is not None:
-            self._charge(self.model.lock_acquire_ns() + self.model.lock_release_ns())
+        self._charge(_LOCK)
         self.stats["ops"] += 1
         if self.storage == "arena":
             return self._deletemin_arena(count)
@@ -558,7 +594,7 @@ class NativeBGPQ:
     # -- dispatch ---------------------------------------------------------
     def _insert_sorted(self, skeys: np.ndarray, spay: np.ndarray) -> None:
         """Insert one already-sorted batch of at most k records."""
-        self._charge_batch_entry(skeys.size)
+        self._charge(_ENTRY, skeys.size)
         self.stats["ops"] += 1
         if self.storage == "arena":
             self._insert_sorted_arena(skeys, spay)
@@ -672,13 +708,12 @@ class NativeBGPQ:
         nroot = int(a.counts[1])
         if nroot:
             # root keeps its nroot smallest of root ∪ items
-            self._charge_split(nroot, n)
+            self._charge(_SPLIT, nroot, n)
             self._split_row_items(1, n, ma=nroot)
         nbuf = int(a.counts[0])
         if nbuf + n < self.k:
             # fold the batch into the partial buffer (buffer keys first)
-            if self.model is not None:
-                self._charge(self.model.sort_split_ns(nbuf, n))
+            self._charge(_FOLD, nbuf, n)
             total = nbuf + n
             if self.payload_width:
                 self._kern.sort_split_into(
@@ -695,7 +730,7 @@ class NativeBGPQ:
             return
         # buffer overflow: detach a full batch (items keys first on ties),
         # leave the rest in the buffer, heapify the full batch down
-        self._charge_split(n, nbuf)
+        self._charge(_SPLIT, n, nbuf)
         if self.payload_width:
             self._kern.sort_split_into(
                 ik[:n], a.keys[0, :nbuf], self.k,
@@ -722,7 +757,7 @@ class NativeBGPQ:
         cur = path_next(1, tar) if tar != 1 else 1
         while cur != tar:
             ni = int(a.counts[cur])
-            self._charge_split(ni, k)
+            self._charge(_SPLIT, ni, k)
             self._split_row_items(cur, k, ma=ni)
             cur = path_next(cur, tar)
         a.keys[tar, :k] = self._items_k
@@ -740,8 +775,7 @@ class NativeBGPQ:
             out_k = a.keys[1, :count].copy()
             out_p = a.pay[1, :count].copy()
             self._shift_row_left(1, count)
-            if self.model is not None:
-                self._charge(self.model.global_read_ns(count))
+            self._charge(_READ, count)
             return out_k, out_p
         if self._heap_size == 1:
             # refill from the buffer
@@ -796,10 +830,9 @@ class NativeBGPQ:
         a.counts[1] = nlast
         a.counts[last] = 0
         self._heap_size -= 1
-        if self.model is not None:
-            self._charge(self.model.global_read_ns(k) + self.model.global_write_ns(k))
+        self._charge(_MOVE, k, k)
         if int(a.counts[0]):
-            self._charge_split(nlast, int(a.counts[0]))
+            self._charge(_SPLIT, nlast, int(a.counts[0]))
             self._split_rows(1, 0, small=1, large=0, ma=nlast)
         ex_k, ex_p = self._deletemin_heapify_arena(remained)
         out_k = np.concatenate([out_root_k, ex_k])
@@ -816,8 +849,7 @@ class NativeBGPQ:
             take = min(remained, int(a.counts[1]))
             got = (a.keys[1, :take].copy(), a.pay[1, :take].copy())
             self._shift_row_left(1, take)
-            if self.model is not None:
-                self._charge(self.model.global_read_ns(take))
+            self._charge(_READ, take)
             return got
 
         while True:
@@ -840,11 +872,11 @@ class NativeBGPQ:
                 nl, nr = int(a.counts[l]), int(a.counts[r])
                 x, y = (l, r) if a.keys[l, nl - 1] > a.keys[r, nr - 1] else (r, l)
                 ma = min(self.k, nl + nr)
-                self._charge_split(nl, nr)
+                self._charge(_SPLIT, nl, nr)
                 self._split_rows(l, r, small=y, large=x, ma=ma)
             else:
                 y = children[0]
-            self._charge_split(ncur, int(a.counts[y]))
+            self._charge(_SPLIT, ncur, int(a.counts[y]))
             self._split_rows(cur, y, small=cur, large=y, ma=ncur)
             if cur == 1 and out is None:
                 out = extract_root()
@@ -858,7 +890,7 @@ class NativeBGPQ:
         keys, payload = merge_with_payload(
             a.keys, a.payload, b.keys, b.payload, dtype=self.key_dtype
         )
-        self._charge_split(a.keys.size, b.keys.size)
+        self._charge(_SPLIT, a.keys.size, b.keys.size)
         return (
             _Slot(keys[:ma], payload[:ma]),
             _Slot(keys[ma:], payload[ma:]),
@@ -884,8 +916,7 @@ class NativeBGPQ:
                 self._buf.keys, self._buf.payload, items.keys, items.payload,
                 dtype=self.key_dtype,
             )
-            if self.model is not None:
-                self._charge(self.model.sort_split_ns(self._buf.keys.size, items.keys.size))
+            self._charge(_FOLD, self._buf.keys.size, items.keys.size)
             self._buf = _Slot(merged_k, merged_p)
             return
         # buffer overflow: detach a full batch, heapify it down
@@ -915,8 +946,7 @@ class NativeBGPQ:
         if count < root.keys.size:
             out = _Slot(root.keys[:count], root.payload[:count])
             self._nodes[1] = _Slot(root.keys[count:], root.payload[count:])
-            if self.model is not None:
-                self._charge(self.model.global_read_ns(count))
+            self._charge(_READ, count)
             return out.keys, out.payload
 
         items = root
@@ -942,8 +972,7 @@ class NativeBGPQ:
         last = self._nodes[self._heap_size]
         self._nodes[self._heap_size] = None
         self._heap_size -= 1
-        if self.model is not None:
-            self._charge(self.model.global_read_ns(self.k) + self.model.global_write_ns(self.k))
+        self._charge(_MOVE, self.k, self.k)
         if self._buf.keys.size:
             new_root, self._buf = self._split(last, self._buf, ma=last.keys.size)
         else:
@@ -964,8 +993,7 @@ class NativeBGPQ:
             take = min(remained, node.keys.size)
             got = _Slot(node.keys[:take], node.payload[:take])
             self._nodes[1] = _Slot(node.keys[take:], node.payload[take:])
-            if self.model is not None:
-                self._charge(self.model.global_read_ns(take))
+            self._charge(_READ, take)
             return got
 
         while True:
@@ -1050,7 +1078,7 @@ class NativeBGPQ:
             "heap_size": self._heap_size,
             "buffer": buffer,
             "nodes": nodes,
-            "sim_ns": str(self._sim_ns),
+            "sim_ns": str(self.sim_time_ns_exact),
             "stats": dict(self.stats),
         }
 
@@ -1116,7 +1144,9 @@ class NativeBGPQ:
                 nk, npay = _row(rec)
                 self._nodes[i] = _Slot(nk, npay)
         self._heap_size = heap_size
-        self._sim_ns = Fraction(state["sim_ns"])
+        ticks = Fraction(state["sim_ns"]) * _TICKS_PER_NS
+        self._ticks = math.floor(ticks)
+        self._base_ns = (ticks - self._ticks) / _TICKS_PER_NS
         self.stats = dict(state["stats"])
 
     # -- introspection ------------------------------------------------------
@@ -1137,11 +1167,14 @@ class NativeBGPQ:
     @property
     def sim_time_ns(self) -> float:
         """Accumulated device time; exact internally, float at the API."""
-        return float(self._sim_ns)
+        if self._base_ns:
+            return float(self.sim_time_ns_exact)
+        return self._ticks / _TICKS_PER_NS
 
     @property
     def sim_time_ns_exact(self) -> Fraction:
-        return self._sim_ns
+        t = Fraction(self._ticks, _TICKS_PER_NS)
+        return t + self._base_ns if self._base_ns else t
 
     @property
     def sim_time_ms(self) -> float:

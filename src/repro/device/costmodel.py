@@ -190,6 +190,41 @@ class GpuCostModel:
             t += self.global_read_ns(n + m) + self.global_write_ns(n + m)
         return t
 
+    # -- whole-step charges of the host-speed queue ------------------------
+    # Each is one device charge of NativeBGPQ, so every charge it makes
+    # is exactly one float returned by this model.
+    def node_move_ns(self, n: int) -> float:
+        """Move one ``n``-item node through global memory (read + write)."""
+        return self.global_read_ns(n) + self.global_write_ns(n)
+
+    def lock_roundtrip_ns(self) -> float:
+        """Take and release one uncontended lock."""
+        return self.lock_acquire_ns() + self.lock_release_ns()
+
+    def batch_entry_ns(self, n: int) -> float:
+        """Admit one ``n``-key insert batch: coalesced read, in-block
+        sort, root lock round trip."""
+        return (
+            self.global_read_ns(n)
+            + self.bitonic_sort_ns(n)
+            + self.lock_acquire_ns()
+            + self.lock_release_ns()
+        )
+
+    def bulk_build_ns(self, n: int, k: int) -> float:
+        """Lay ``n`` records out as ``k``-key nodes: one coalesced read
+        and write, a per-batch in-block sort, a merge tree over the
+        batches, and the root lock."""
+        chunks = -(-n // k)
+        return (
+            self.global_read_ns(n)
+            + self.global_write_ns(n)
+            + chunks * self.bitonic_sort_ns(min(n, k))
+            + chunks * max(0, chunks.bit_length() - 1) * self.sort_split_ns(k, k)
+            + self.lock_acquire_ns()
+            + self.lock_release_ns()
+        )
+
 
 @dataclass(frozen=True)
 class CpuCostModel:

@@ -85,12 +85,10 @@ class _NativeShard:
 
     def __init__(self, node_capacity: int, storage: str, ctx: GpuContext):
         self.pq = NativeBGPQ(node_capacity=node_capacity, ctx=ctx, storage=storage)
-        self._mark = self.pq.sim_time_ns_exact
+        _, self._mark = self.pq._elapsed()
 
     def _delta_ns(self) -> float:
-        now = self.pq.sim_time_ns_exact
-        d = float(now - self._mark)
-        self._mark = now
+        d, self._mark = self.pq._elapsed(self._mark)
         return d
 
     def insert(self, keys: np.ndarray) -> float:

@@ -265,7 +265,7 @@ class CExtKernels(KernelSet):
         rb = _row_bytes(pay if pay.ndim == 2 else pay.reshape(-1, 1))
         if keys.dtype != _I64 or not rb:
             # non-int64 keys, or keys-only: the reference (numpy's own
-            # sort) already wins — the C mergesort only pays off when a
+            # sort) already wins — the C radix sort only pays off when a
             # payload permutation must ride along with the keys
             return super().sort_records(keys, pay)
         pay = np.ascontiguousarray(pay)

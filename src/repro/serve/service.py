@@ -186,10 +186,10 @@ class DurableService:
                 keys_arr.size, q.payload_width
             )
             pay_l = pay_arr.tolist()
-        before = q.sim_time_ns_exact
+        _, before = q._elapsed()
         rec = self.wal.append(sid, op_id, "insert", keys=keys_l, pay=pay_l)
         q.insert_bulk(keys_arr, pay_arr)
-        resp = self._response_for(rec, cost_ns=float(q.sim_time_ns_exact - before))
+        resp = self._response_for(rec, cost_ns=q._elapsed(before)[0])
         self._applied[dedupe] = resp
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="insert", session=sid,
@@ -210,7 +210,7 @@ class DurableService:
         if cached is not None:
             return cached
         q = self.queue
-        before = q.sim_time_ns_exact
+        _, before = q._elapsed()
         got_k, got_p = q.deletemin(count)
         result = {
             "keys": got_k.tolist(),
@@ -218,7 +218,7 @@ class DurableService:
         }
         rec = self.wal.append(sid, op_id, "deletemin", count=count,
                               result=result)
-        resp = self._response_for(rec, cost_ns=float(q.sim_time_ns_exact - before))
+        resp = self._response_for(rec, cost_ns=q._elapsed(before)[0])
         self._applied[dedupe] = resp
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="deletemin", session=sid,

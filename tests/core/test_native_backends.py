@@ -3,8 +3,8 @@
 The fast paths — the fused C heapify and the thread-pool presort — must
 be *observationally invisible*: byte-identical outputs, identical
 exported heap state, identical simulated-time accounting (the fused
-kernels replay their charge log through the same Fraction arithmetic
-the reference path uses), identical stats counters.  These tests drive
+kernels replay their charge log through the same cost-model prices
+the reference path charges), identical stats counters.  These tests drive
 random workloads through every backend/parallel combination the host
 offers and compare against both the numpy-serial queue and the
 SequentialPQ oracle, with HeapAuditor checking structural invariants
