@@ -1033,43 +1033,40 @@ class NativeBGPQ:
         """Canonical, storage-agnostic snapshot of the logical queue state.
 
         Everything an identical replay needs — layout, heap shape, the
-        live records of every node and the partial buffer, the exact
+        live records of every node and the partial buffer (each row's
+        ``keys``/``pay`` as a NumPy copy of its live prefix), the exact
         simulated clock (as a ``Fraction`` string, so no float rounding
-        sneaks in), and the op counters — as plain JSON-serializable
-        types.  Arena capacity, scratch contents, and dead rows are
-        deliberately *not* part of the state: two queues that played the
-        same op sequence export identical dicts even if one grew its
-        arena in different steps, which is what lets the durable service
-        layer compare a recovered queue to an uninterrupted oracle
-        byte-for-byte (via the canonical-JSON digest in
-        :mod:`repro.serve.checkpoint`).
+        sneaks in), and the op counters.  Arena capacity, scratch
+        contents, and dead rows are deliberately *not* part of the
+        state: two queues that played the same op sequence export the
+        same rows even if one grew its arena in different steps, which
+        is what lets the durable service layer compare a recovered queue
+        to an uninterrupted oracle byte-for-byte (via the binary encoding
+        and its digest in :mod:`repro.serve.checkpoint`).
         """
         nodes = []
         if self.storage == "arena":
             a = self._arena
-            buf_n = int(a.counts[0])
+            counts = a.counts[: self._heap_size + 1].tolist()
             buffer = {
-                "keys": a.keys[0, :buf_n].tolist(),
-                "pay": a.pay[0, :buf_n].tolist(),
+                "keys": a.keys[0, : counts[0]].copy(),
+                "pay": a.pay[0, : counts[0]].copy(),
             }
             for i in range(1, self._heap_size + 1):
-                n = int(a.counts[i])
-                nodes.append(
-                    {"keys": a.keys[i, :n].tolist(), "pay": a.pay[i, :n].tolist()}
-                )
+                n = counts[i]
+                nodes.append({"keys": a.keys[i, :n].copy(), "pay": a.pay[i, :n].copy()})
         else:
-            buffer = {
-                "keys": self._buf.keys.tolist(),
-                "pay": self._buf.payload.tolist(),
-            }
+            buffer = {"keys": self._buf.keys.copy(), "pay": self._buf.payload.copy()}
             for i in range(1, self._heap_size + 1):
                 slot = self._nodes[i]
                 if slot is None:
-                    nodes.append({"keys": [], "pay": []})
+                    nodes.append({
+                        "keys": np.empty(0, dtype=self.key_dtype),
+                        "pay": np.empty((0, self.payload_width),
+                                        dtype=self.payload_dtype),
+                    })
                 else:
-                    nodes.append(
-                        {"keys": slot.keys.tolist(), "pay": slot.payload.tolist()}
-                    )
+                    nodes.append({"keys": slot.keys.copy(), "pay": slot.payload.copy()})
         return {
             "k": self.k,
             "key_dtype": self.key_dtype.name,
@@ -1116,6 +1113,10 @@ class NativeBGPQ:
 
         def _row(rec) -> tuple[np.ndarray, np.ndarray]:
             keys = np.asarray(rec["keys"], dtype=self.key_dtype).reshape(-1)
+            if keys.size > self.k:
+                raise ConfigurationError(
+                    f"snapshot row holds {keys.size} keys > k={self.k}"
+                )
             pay = np.asarray(rec["pay"], dtype=self.payload_dtype).reshape(
                 keys.size, self.payload_width
             )
@@ -1139,10 +1140,11 @@ class NativeBGPQ:
         else:
             self._ensure_capacity(max(1, heap_size))
             bk, bp = _row(state["buffer"])
-            self._buf = _Slot(bk, bp)
+            # list slots own their arrays: never alias the snapshot's rows
+            self._buf = _Slot(bk.copy(), bp.copy())
             for i, rec in enumerate(nodes, start=1):
                 nk, npay = _row(rec)
-                self._nodes[i] = _Slot(nk, npay)
+                self._nodes[i] = _Slot(nk.copy(), npay.copy())
         self._heap_size = heap_size
         ticks = Fraction(state["sim_ns"]) * _TICKS_PER_NS
         self._ticks = math.floor(ticks)

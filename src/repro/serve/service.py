@@ -56,7 +56,9 @@ class DurableService:
         self.checkpoint_every = max(1, checkpoint_every)
         self._obs = obs
         self.metrics = metrics
-        self._applied: dict[tuple[str, int], dict] = {}
+        # (sid, op_id) -> (journal record, cost_ns); the response is
+        # built from the record on each lookup, live or recovered alike
+        self._applied: dict[tuple[str, int], tuple[WalRecord, float]] = {}
         self._last_ckpt_lsn = 0
         self.recovery_info: dict = {"fresh": True, "ckpt_lsn": 0, "replayed": 0}
 
@@ -96,13 +98,10 @@ class DurableService:
         for rec in self.wal.records(from_lsn=ckpt_lsn + 1):
             self._replay(rec)
             replayed += 1
-        # ops at or before the checkpoint are applied by definition;
-        # rebuild their dedupe entries without responses (a client that
-        # re-sends one gets a terse already-applied acknowledgement)
+        # every journaled op is applied by now; a client that re-sends
+        # one gets the response rebuilt from its record (cost_ns 0)
         for rec in self.wal.records():
-            key = (rec.sid, rec.op_id)
-            if key not in self._applied:
-                self._applied[key] = self._response_for(rec, cost_ns=0.0)
+            self._applied.setdefault((rec.sid, rec.op_id), (rec, 0.0))
         self._last_ckpt_lsn = ckpt_lsn
         self.recovery_info = {
             "fresh": not had_state,
@@ -175,7 +174,7 @@ class DurableService:
         dedupe = (sid, op_id)
         cached = self._applied.get(dedupe)
         if cached is not None:
-            return cached
+            return self._response_for(*cached)
         q = self.queue
         keys_arr = np.asarray(keys, dtype=q.key_dtype).ravel()
         keys_l = keys_arr.tolist()
@@ -189,8 +188,9 @@ class DurableService:
         _, before = q._elapsed()
         rec = self.wal.append(sid, op_id, "insert", keys=keys_l, pay=pay_l)
         q.insert_bulk(keys_arr, pay_arr)
-        resp = self._response_for(rec, cost_ns=q._elapsed(before)[0])
-        self._applied[dedupe] = resp
+        cost_ns = q._elapsed(before)[0]
+        self._applied[dedupe] = (rec, cost_ns)
+        resp = self._response_for(rec, cost_ns)
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="insert", session=sid,
                                 lsn=rec.lsn)
@@ -208,7 +208,7 @@ class DurableService:
         dedupe = (sid, op_id)
         cached = self._applied.get(dedupe)
         if cached is not None:
-            return cached
+            return self._response_for(*cached)
         q = self.queue
         _, before = q._elapsed()
         got_k, got_p = q.deletemin(count)
@@ -218,8 +218,9 @@ class DurableService:
         }
         rec = self.wal.append(sid, op_id, "deletemin", count=count,
                               result=result)
-        resp = self._response_for(rec, cost_ns=q._elapsed(before)[0])
-        self._applied[dedupe] = resp
+        cost_ns = q._elapsed(before)[0]
+        self._applied[dedupe] = (rec, cost_ns)
+        resp = self._response_for(rec, cost_ns)
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="deletemin", session=sid,
                                 lsn=rec.lsn)

@@ -39,7 +39,7 @@ __all__ = ["WalRecord", "WriteAheadLog"]
 
 
 def canonical_json(obj) -> str:
-    """Canonical encoding shared by WAL records, checkpoints, digests."""
+    """Canonical encoding of WAL records and of the checkpoint header."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

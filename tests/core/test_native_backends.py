@@ -18,6 +18,7 @@ from repro.core import HeapAuditor, SequentialPQ
 from repro.core.native import NativeBGPQ
 from repro.device.kernels import GpuContext
 from repro.primitives import kernels
+from repro.serve.checkpoint import state_digest
 
 MODES = [("numpy", "off")]
 MODES += [(n, "off") for n in kernels.available_backends() if n != "numpy"]
@@ -34,6 +35,20 @@ def _workload(rng, k, ops):
         else:
             script.append(("delete", int(rng.integers(1, k + 1))))
     return script
+
+
+def _assert_same_state(state, ref_state, ctx):
+    """Equal digests, and equal per-row arrays and scalar fields."""
+    assert state.keys() == ref_state.keys(), ctx
+    assert state_digest(state) == state_digest(ref_state), ctx
+    rows = [state["buffer"], *state["nodes"]]
+    ref_rows = [ref_state["buffer"], *ref_state["nodes"]]
+    assert len(rows) == len(ref_rows), ctx
+    for i, (row, ref_row) in enumerate(zip(rows, ref_rows)):
+        for field in ("keys", "pay"):
+            assert np.array_equal(row[field], ref_row[field]), (ctx, i, field)
+    for key in state.keys() - {"buffer", "nodes"}:
+        assert state[key] == ref_state[key], (ctx, key)
 
 
 def _drive(pq, script, k):
@@ -71,10 +86,7 @@ def test_backend_matches_numpy_serial_and_oracle(kern, par, k):
         assert outs == ref_outs
         assert len(pq) == len(ref) == len(oracle)
         assert pq.stats == ref.stats
-        state, ref_state = pq.export_state(), ref.export_state()
-        assert state.keys() == ref_state.keys()
-        for key in state:
-            assert np.array_equal(state[key], ref_state[key]), key
+        _assert_same_state(pq.export_state(), ref.export_state(), kern)
         report = HeapAuditor(pq).audit(context=f"{kern}/{par}")
         assert report.ok, report.problems
         # drain: the remaining multiset must match the oracle's exactly
@@ -140,9 +152,7 @@ def test_bulk_and_build_identical(kern, par):
         ) as pq:
             getattr(pq, method)(records)
             assert len(pq) == len(ref)
-            state, ref_state = pq.export_state(), ref.export_state()
-            for key in state:
-                assert np.array_equal(state[key], ref_state[key]), (method, key)
+            _assert_same_state(pq.export_state(), ref.export_state(), method)
 
 
 def test_parallel_request_degrades_gracefully():

@@ -1,14 +1,14 @@
 """Checkpoint store integrity + the export/restore differential.
 
 The hypothesis suite is the checkpoint half of the durability story:
-``export_state`` → JSON → ``restore_state`` must reproduce the queue
+``export_state`` → binary encoding → ``restore_state`` must reproduce the queue
 *exactly* — same digest, same contents, same simulated clock — and a
 restored replica must stay behaviourally identical to the
 uninterrupted oracle for arbitrary continued operation, on both
 storage backends.
 """
 
-import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core.native import NativeBGPQ
 from repro.errors import ConfigurationError, DurabilityError
-from repro.serve.checkpoint import CheckpointStore, state_digest
+from repro.serve.checkpoint import (
+    CheckpointStore,
+    decode_state,
+    encode_state,
+    state_digest,
+)
 
 
 def _mk(storage="arena", k=4, payload_width=0):
@@ -47,8 +52,8 @@ def test_prune_keeps_newest(tmp_path):
     pq = _mk()
     for lsn in (1, 2, 3, 4):
         store.save(pq.export_state(), lsn=lsn)
-    names = sorted(p.name for p in tmp_path.glob("ckpt-*.json"))
-    assert names == ["ckpt-000000000003.json", "ckpt-000000000004.json"]
+    names = sorted(p.name for p in tmp_path.glob("ckpt-*"))
+    assert names == ["ckpt-000000000003.bin", "ckpt-000000000004.bin"]
 
 
 def test_corrupt_newest_falls_back(tmp_path):
@@ -58,7 +63,7 @@ def test_corrupt_newest_falls_back(tmp_path):
     store.save(pq.export_state(), lsn=1)
     pq.insert_bulk(np.array([3], dtype=np.int64))
     newest = store.save(pq.export_state(), lsn=2)
-    newest.write_text(newest.read_text()[:-40])  # half-written save
+    newest.write_bytes(newest.read_bytes()[:-40])  # half-written save
     state, lsn = store.load_latest()
     assert lsn == 1  # fell back to the older, intact checkpoint
 
@@ -66,10 +71,11 @@ def test_corrupt_newest_falls_back(tmp_path):
 def test_all_corrupt_raises(tmp_path):
     store = CheckpointStore(tmp_path)
     pq = _mk()
+    pq.insert_bulk(np.array([3, 1, 2], dtype=np.int64))
     path = store.save(pq.export_state(), lsn=1)
-    doc = json.loads(path.read_text())
-    doc["state"]["heap_size"] = 99  # tamper: digest no longer matches
-    path.write_text(json.dumps(doc))
+    data = bytearray(path.read_bytes())
+    data[-40] ^= 0x01  # tamper with the last key: digest no longer matches
+    path.write_bytes(bytes(data))
     with pytest.raises(DurabilityError, match="integrity"):
         store.load_latest()
 
@@ -78,9 +84,10 @@ def test_digest_covers_lsn(tmp_path):
     store = CheckpointStore(tmp_path)
     pq = _mk()
     path = store.save(pq.export_state(), lsn=5)
-    doc = json.loads(path.read_text())
-    doc["lsn"] = 6  # swap the covered LSN without touching the state
-    path.write_text(json.dumps(doc))
+    data = path.read_bytes()
+    assert struct.unpack_from("<Q", data) == (5,)
+    # swap the covered LSN without touching the state
+    path.write_bytes(struct.pack("<Q", 6) + data[8:])
     with pytest.raises(DurabilityError):
         store.load_latest()
 
@@ -106,6 +113,15 @@ def test_restore_rejects_wrong_payload_width():
     state = _mk(payload_width=0).export_state()
     with pytest.raises(ConfigurationError):
         _mk(payload_width=2).restore_state(state)
+
+
+@pytest.mark.parametrize("storage", ["arena", "list"])
+def test_restore_rejects_oversized_row(storage):
+    state = _mk(k=4).export_state()
+    state["buffer"]["keys"] = np.arange(5, dtype=np.int64)
+    state["buffer"]["pay"] = np.empty((5, 0), dtype=np.int64)
+    with pytest.raises(ConfigurationError, match="k=4"):
+        _mk(storage=storage, k=4).restore_state(state)
 
 
 def test_restore_crosses_storage_backends():
@@ -156,8 +172,8 @@ def test_checkpoint_restore_differential(ops, cut, storage, payload_width):
     for op in ops[:cut]:
         _apply(oracle, op)
 
-    # snapshot through JSON, exactly as the checkpoint store does
-    state = json.loads(json.dumps(oracle.export_state()))
+    # snapshot through the bytes the checkpoint store writes
+    state = decode_state(encode_state(oracle.export_state()))
     replica = _mk(storage=storage, k=4, payload_width=payload_width)
     replica.restore_state(state)
 

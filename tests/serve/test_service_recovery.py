@@ -7,13 +7,15 @@ the service object mid-history and re-opening the data dir with a
 fresh queue — exactly what the serve supervisor does.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.native import NativeBGPQ
 from repro.errors import DurabilityError
 from repro.serve.service import DurableService
-from repro.serve.wal import WriteAheadLog
+from repro.serve.wal import WriteAheadLog, canonical_json
 
 
 def _queue(payload_width=0):
@@ -85,11 +87,15 @@ def test_recovery_with_payloads(tmp_path):
 def test_dedupe_makes_apply_idempotent(tmp_path):
     svc = DurableService.open(_queue(), tmp_path)
     first = svc.apply_insert("s0", 0, [4, 1])
+    digest = svc.digest()
     again = svc.apply_insert("s0", 0, [4, 1])
-    assert again is first
+    assert again == first
+    assert svc.digest() == digest  # the retransmit was not re-applied
     assert len(svc.wal) == 1  # the retransmit was not re-journaled
     got = svc.apply_deletemin("s0", 1, 2)
-    assert svc.apply_deletemin("s0", 1, 2) is got
+    assert svc.apply_deletemin("s0", 1, 2) == got
+    assert got["keys"] == [1, 4]
+    assert len(svc.wal) == 2 and len(svc.queue) == 0
     svc.close()
 
 
@@ -103,6 +109,39 @@ def test_dedupe_survives_recovery(tmp_path):
     assert replayed["keys"] == first["keys"] == [1]
     assert len(recovered.wal) == 2  # no duplicate journal entry
     assert len(recovered.queue) == 1  # the key was not deleted twice
+    recovered.close()
+
+
+def test_resent_requests_after_recovery_get_same_keys(tmp_path):
+    """Ops covered by the checkpoint and ops in the replayed suffix both
+    answer a re-send with the keys and payloads of the original reply."""
+    svc = DurableService.open(_queue(payload_width=2), tmp_path,
+                              checkpoint_every=3)
+    sent = {}
+    for op_id in range(8):
+        if op_id % 2 == 0:
+            keys = np.array([8 - op_id, 20 + op_id], dtype=np.int64)
+            sent[op_id] = svc.apply_insert(
+                "s0", op_id, keys, pay=np.stack([keys, keys * 2], axis=1))
+        else:
+            sent[op_id] = svc.apply_deletemin("s0", op_id, 1)
+    svc.close()
+    recovered = DurableService.open(_queue(payload_width=2), tmp_path,
+                                    checkpoint_every=3)
+    assert recovered.recovery_info["ckpt_lsn"] == 6
+    assert recovered.recovery_info["replayed"] == 2
+    digest = recovered.digest()
+    for op_id, first in sent.items():
+        if op_id % 2 == 0:
+            again = recovered.apply_insert("s0", op_id, [0, 0], pay=[[0, 0]] * 2)
+            assert again["n"] == first["n"] == 2
+        else:
+            again = recovered.apply_deletemin("s0", op_id, 1)
+            assert again["keys"] == first["keys"]
+            assert again["pay"] == first["pay"]
+        assert again["lsn"] == first["lsn"]
+    assert recovered.digest() == digest  # no re-send was re-applied
+    assert len(recovered.wal) == 8
     recovered.close()
 
 
@@ -133,6 +172,35 @@ def test_checkpoint_bounds_replay(tmp_path):
     info = recovered.recovery_info
     assert info["ckpt_lsn"] == 8
     assert info["replayed"] == 2  # only the post-checkpoint suffix
+    recovered.close()
+
+
+def test_legacy_json_checkpoint_recovers_by_full_replay(tmp_path):
+    """A data dir from before the binary checkpoints holds ``wal.jsonl``
+    and only ``ckpt-<lsn>.json`` files; those are not read, and the WAL
+    (never pruned) replays from LSN 1 to the same state."""
+    ops = _script(n_ops=20, seed=11)
+    live = DurableService.open(_queue(), tmp_path, checkpoint_every=1000)
+    for op in ops:
+        live.apply(op)
+    want = live.digest()
+    lsn = live.wal.last_lsn
+    state = live.queue.export_state()
+    for row in (state["buffer"], *state["nodes"]):
+        row["keys"], row["pay"] = row["keys"].tolist(), row["pay"].tolist()
+    body = {"lsn": lsn, "state": state}
+    doc = dict(body, sha256=hashlib.sha256(
+        canonical_json(body).encode("utf-8")).hexdigest())
+    (tmp_path / f"ckpt-{lsn:012d}.json").write_text(canonical_json(doc))
+    live.close()
+    assert not list(tmp_path.glob("ckpt-*.bin"))
+
+    recovered = DurableService.open(_queue(), tmp_path, checkpoint_every=1000)
+    info = recovered.recovery_info
+    assert info["ckpt_lsn"] == 0
+    assert info["replayed"] == len(ops)
+    assert not info["fresh"]
+    assert recovered.digest() == want
     recovered.close()
 
 
