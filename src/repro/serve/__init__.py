@@ -10,7 +10,8 @@ byte-identical to an uninterrupted run.
 
 Layers, bottom up:
 
-* :mod:`repro.serve.wal` — CRC-guarded JSON-lines op journal.
+* :mod:`repro.serve.wal` — op journal of CRC'd binary frames whose
+  records hold NumPy arrays.
 * :mod:`repro.serve.checkpoint` — queue snapshots + canonical digests.
 * :mod:`repro.serve.admission` — the load-shedding admission controller.
 * :mod:`repro.serve.service` — :class:`DurableService`: journal-then-

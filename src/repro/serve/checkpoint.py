@@ -41,7 +41,6 @@ import numpy as np
 
 from ..errors import DurabilityError
 from ..obs.events import SERVE_CHECKPOINT
-from .wal import canonical_json
 
 __all__ = ["CheckpointStore", "decode_state", "encode_state", "state_digest"]
 
@@ -53,6 +52,11 @@ _HEADER_FIELDS = frozenset(
     {"k", "key_dtype", "payload_width", "payload_dtype", "heap_size",
      "counts", "sim_ns", "stats"}
 )
+
+
+def canonical_json(obj) -> str:
+    """Canonical encoding of the checkpoint header."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def encode_state(state: dict, extra: dict | None = None) -> bytes:

@@ -135,20 +135,17 @@ class DurableService:
     def _replay(self, rec: WalRecord) -> None:
         q = self.queue
         if rec.kind == "insert":
-            keys = np.asarray(rec.keys, dtype=q.key_dtype)
-            pay = (np.asarray(rec.pay, dtype=q.payload_dtype).reshape(
-                keys.size, q.payload_width) if q.payload_width else None)
-            q.insert_bulk(keys, pay)
+            q.insert_bulk(rec.keys, rec.pay if q.payload_width else None)
             return
         got_k, got_p = q.deletemin(rec.count)
-        want = rec.result or {"keys": [], "pay": []}
-        if got_k.tolist() != want["keys"] or (
-            q.payload_width and got_p.tolist() != want["pay"]
+        want = rec.result
+        if not np.array_equal(got_k, want["keys"]) or (
+            q.payload_width and not np.array_equal(got_p, want["pay"])
         ):
             raise DurabilityError(
                 f"WAL replay diverged at lsn={rec.lsn}: deletemin({rec.count}) "
-                f"returned {got_k.tolist()[:8]}... but the journal recorded "
-                f"{want['keys'][:8]}...; the on-disk history cannot "
+                f"returned {got_k[:8].tolist()}... but the journal recorded "
+                f"{want['keys'][:8].tolist()}...; the on-disk history cannot "
                 "reproduce the state that wrote it"
             )
 
@@ -161,11 +158,10 @@ class DurableService:
             "cost_ns": cost_ns,
         }
         if rec.kind == "insert":
-            resp["n"] = len(rec.keys)
+            resp["n"] = rec.keys.size
         else:
-            result = rec.result or {"keys": [], "pay": []}
-            resp["keys"] = list(result["keys"])
-            resp["pay"] = [list(r) for r in result.get("pay", [])]
+            resp["keys"] = rec.result["keys"].tolist()
+            resp["pay"] = rec.result["pay"].tolist()
         return resp
 
     # -- the two mutating calls ------------------------------------------
@@ -177,16 +173,13 @@ class DurableService:
             return self._response_for(*cached)
         q = self.queue
         keys_arr = np.asarray(keys, dtype=q.key_dtype).ravel()
-        keys_l = keys_arr.tolist()
         pay_arr = None
-        pay_l: list = []
         if q.payload_width:
             pay_arr = np.asarray(pay, dtype=q.payload_dtype).reshape(
                 keys_arr.size, q.payload_width
             )
-            pay_l = pay_arr.tolist()
         _, before = q._elapsed()
-        rec = self.wal.append(sid, op_id, "insert", keys=keys_l, pay=pay_l)
+        rec = self.wal.append(sid, op_id, "insert", keys=keys_arr, pay=pay_arr)
         q.insert_bulk(keys_arr, pay_arr)
         cost_ns = q._elapsed(before)[0]
         self._applied[dedupe] = (rec, cost_ns)
@@ -212,12 +205,10 @@ class DurableService:
         q = self.queue
         _, before = q._elapsed()
         got_k, got_p = q.deletemin(count)
-        result = {
-            "keys": got_k.tolist(),
-            "pay": got_p.tolist() if q.payload_width else [],
-        }
-        rec = self.wal.append(sid, op_id, "deletemin", count=count,
-                              result=result)
+        rec = self.wal.append(
+            sid, op_id, "deletemin", count=count,
+            result={"keys": got_k, "pay": got_p if q.payload_width else None},
+        )
         cost_ns = q._elapsed(before)[0]
         self._applied[dedupe] = (rec, cost_ns)
         resp = self._response_for(rec, cost_ns)
@@ -273,17 +264,12 @@ class DurableService:
 
     def audit(self, context: str = "") -> AuditReport:
         """HeapAuditor pass with the WAL as the conservation ledger."""
-        inserted = [
-            np.asarray(r.keys, dtype=self.queue.key_dtype)
-            for r in self.wal.records()
-            if r.kind == "insert"
-        ]
-        removed = [
-            np.asarray((r.result or {}).get("keys", []),
-                       dtype=self.queue.key_dtype)
-            for r in self.wal.records()
-            if r.kind == "deletemin"
-        ]
+        key_dtype = self.queue.key_dtype
+        records = self.wal.records()
+        inserted = [np.asarray(r.keys, dtype=key_dtype)
+                    for r in records if r.kind == "insert"]
+        removed = [np.asarray(r.result["keys"], dtype=key_dtype)
+                   for r in records if r.kind == "deletemin"]
         return HeapAuditor(self.queue).audit(
             inserted=inserted, removed=removed, context=context
         )

@@ -8,14 +8,17 @@ fresh queue — exactly what the serve supervisor does.
 """
 
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.core.native import NativeBGPQ
 from repro.errors import DurabilityError
+from repro.serve.checkpoint import canonical_json
 from repro.serve.service import DurableService
-from repro.serve.wal import WriteAheadLog, canonical_json
+from repro.serve.wal import WriteAheadLog
 
 
 def _queue(payload_width=0):
@@ -150,15 +153,19 @@ def test_replay_divergence_raises(tmp_path):
     svc.apply_insert("s0", 0, [4, 1, 9])
     svc.apply_deletemin("s0", 1, 1)
     svc.close()
-    # tamper: rewrite the journaled deletemin result to a wrong key
+    # tamper: rewrite the journaled deletemin result to a wrong key and
+    # give its frame valid CRCs again, so only replay can notice
     wal_path = tmp_path / WriteAheadLog.FILENAME
-    from repro.serve.wal import WalRecord, _decode, _encode
-
-    lines = wal_path.read_text().splitlines()
-    body = _decode(lines[1])
-    body["result"]["keys"] = [999]
-    lines[1] = _encode(body)
-    wal_path.write_text("\n".join(lines) + "\n")
+    data = bytearray(wal_path.read_bytes())
+    (first,) = struct.unpack_from("<I", data, 0)
+    start = 12 + first + 12  # body of the second (deletemin) frame
+    assert data[start + 36] == 1  # its kind code
+    struct.pack_into("<q", data, len(data) - 8, 999)  # its one key
+    length = len(data) - start
+    crc = zlib.crc32(data[start:])
+    struct.pack_into("<III", data, start - 12, length, crc,
+                     zlib.crc32(struct.pack("<II", length, crc)))
+    wal_path.write_bytes(bytes(data))
     with pytest.raises(DurabilityError, match="replay diverged"):
         DurableService.open(_queue(), tmp_path)
 
@@ -176,9 +183,9 @@ def test_checkpoint_bounds_replay(tmp_path):
 
 
 def test_legacy_json_checkpoint_recovers_by_full_replay(tmp_path):
-    """A data dir from before the binary checkpoints holds ``wal.jsonl``
-    and only ``ckpt-<lsn>.json`` files; those are not read, and the WAL
-    (never pruned) replays from LSN 1 to the same state."""
+    """``ckpt-<lsn>.json`` files from before the binary checkpoints are
+    not read, and the WAL (never pruned) replays from LSN 1 to the same
+    state."""
     ops = _script(n_ops=20, seed=11)
     live = DurableService.open(_queue(), tmp_path, checkpoint_every=1000)
     for op in ops:
